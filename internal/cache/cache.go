@@ -24,6 +24,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"cxlpool/internal/mem"
 	"cxlpool/internal/sim"
@@ -45,6 +46,32 @@ const (
 // DefaultLines is the default cache capacity in lines (2 MiB / 64 B).
 const DefaultLines = 32768
 
+// pageShift sizes the residency index (4 KiB pages). Resident lines
+// are filed by page, so a range operation probes the index once per
+// page rather than once per line, and skips pages with nothing
+// resident — the common case for an 8 KiB frame NT-stored by a sender
+// or invalidated by a receiver.
+const pageShift = 12
+
+const (
+	pageBytes    = 1 << pageShift
+	linesPerPage = pageBytes / mem.CachelineSize
+)
+
+// pageOf returns the index key of the page holding a.
+func pageOf(a mem.Address) mem.Address { return a >> pageShift }
+
+// slotOf returns the position of a's line within its page.
+func slotOf(a mem.Address) int { return int(a&(pageBytes-1)) / mem.CachelineSize }
+
+// page holds the resident lines of one 4 KiB page, indexed by slot;
+// count is how many are non-nil. A page is in the index exactly while
+// count > 0.
+type page struct {
+	lines [linesPerPage]*line
+	count int
+}
+
 // line is one resident cacheline. Lines form an intrusive doubly-linked
 // LRU list (front = most recent); evicted structs are recycled through
 // the cache's free-list, so the miss/evict churn of a polling receiver
@@ -62,12 +89,17 @@ type line struct {
 type Cache struct {
 	host    string
 	backing mem.Memory
-	lines   map[mem.Address]*line
+	// pages indexes resident lines by page (key pageOf(addr)); n counts
+	// resident lines across all pages.
+	pages map[mem.Address]*page
+	n     int
 	// Intrusive LRU: head is most recent, tail least recent.
 	head, tail *line
-	// free is the recycled-line stack, linked through next.
-	free *line
-	cap  int
+	// free is the recycled-line stack, linked through next; freePages
+	// holds emptied pages for reuse.
+	free      *line
+	freePages []*page
+	cap       int
 	// fillBuf is the miss-path staging buffer. A local array would
 	// escape to the heap on every miss because it is passed through the
 	// mem.Memory interface; the cache is single-threaded, so one
@@ -92,7 +124,7 @@ func New(host string, backing mem.Memory, capLines int) *Cache {
 	return &Cache{
 		host:    host,
 		backing: backing,
-		lines:   make(map[mem.Address]*line),
+		pages:   make(map[mem.Address]*page),
 		cap:     capLines,
 	}
 }
@@ -144,13 +176,79 @@ func (c *Cache) touch(l *line) {
 	c.pushFront(l)
 }
 
-// release drops a line from the map and LRU and files its struct on the
-// free-list for reuse.
+// lookup returns the resident line at line address la, or nil.
+func (c *Cache) lookup(la mem.Address) *line {
+	if p := c.pages[pageOf(la)]; p != nil {
+		return p.lines[slotOf(la)]
+	}
+	return nil
+}
+
+// file enters a line into the page index.
+func (c *Cache) file(l *line) {
+	k := pageOf(l.addr)
+	p := c.pages[k]
+	if p == nil {
+		if n := len(c.freePages); n > 0 {
+			p = c.freePages[n-1]
+			c.freePages = c.freePages[:n-1]
+		} else {
+			p = &page{}
+		}
+		c.pages[k] = p
+	}
+	p.lines[slotOf(l.addr)] = l
+	p.count++
+	c.n++
+}
+
+// release drops a line from the index and LRU and files its struct on
+// the free-list for reuse; a page left empty leaves the index.
 func (c *Cache) release(l *line) {
 	c.unlink(l)
-	delete(c.lines, l.addr)
+	k := pageOf(l.addr)
+	p := c.pages[k]
+	p.lines[slotOf(l.addr)] = nil
+	if p.count--; p.count == 0 {
+		delete(c.pages, k)
+		c.freePages = append(c.freePages, p)
+	}
+	c.n--
 	l.next = c.free
 	c.free = l
+}
+
+// eachResident calls f on every resident line overlapping [a, a+size),
+// in ascending address order. It probes the index once per page and
+// skips pages with nothing resident, which is exact for every caller:
+// flushing or invalidating a line that is not resident does nothing.
+// f may release the line it is given.
+func (c *Cache) eachResident(a mem.Address, size int, f func(l *line) error) error {
+	if size <= 0 {
+		return nil
+	}
+	first, end := mem.AlignDown(a), a+mem.Address(size)
+	for pa := first &^ (pageBytes - 1); pa < end && c.n > 0; pa += pageBytes {
+		p := c.pages[pageOf(pa)]
+		if p == nil {
+			continue
+		}
+		lo, hi := 0, linesPerPage
+		if first > pa {
+			lo = slotOf(first)
+		}
+		if end < pa+pageBytes {
+			hi = slotOf(end-1) + 1
+		}
+		for i := lo; i < hi; i++ {
+			if l := p.lines[i]; l != nil {
+				if err := f(l); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // newLine pops a recycled struct or allocates one.
@@ -167,7 +265,7 @@ func (c *Cache) newLine() *line {
 // dirty line writes it back (timed).
 func (c *Cache) insert(now sim.Time, addr mem.Address, data []byte, dirty bool) (*line, sim.Duration, error) {
 	var evictCost sim.Duration
-	if len(c.lines) >= c.cap {
+	if c.n >= c.cap {
 		victim := c.tail
 		if victim.dirty {
 			d, err := c.backing.WriteAt(now, victim.addr, victim.data[:])
@@ -183,13 +281,13 @@ func (c *Cache) insert(now sim.Time, addr mem.Address, data []byte, dirty bool) 
 	l.addr, l.dirty = addr, dirty
 	copy(l.data[:], data)
 	c.pushFront(l)
-	c.lines[addr] = l
+	c.file(l)
 	return l, evictCost, nil
 }
 
 // fetch returns the line for addr, loading it from backing on a miss.
 func (c *Cache) fetch(now sim.Time, addr mem.Address) (*line, sim.Duration, error) {
-	if l, ok := c.lines[addr]; ok {
+	if l := c.lookup(addr); l != nil {
 		c.hits++
 		c.touch(l)
 		return l, HitLatency, nil
@@ -259,7 +357,7 @@ func (c *Cache) Write(now sim.Time, a mem.Address, buf []byte) (sim.Duration, er
 		if n == mem.CachelineSize {
 			// Full-line store: no need to read-for-ownership on
 			// non-coherent memory; allocate directly.
-			if existing, ok := c.lines[la]; ok {
+			if existing := c.lookup(la); existing != nil {
 				l = existing
 				c.touch(l)
 				d = StoreHitLatency
@@ -300,8 +398,8 @@ func (c *Cache) NTStore(now sim.Time, a mem.Address, buf []byte) (sim.Duration, 
 	// *other* bytes of the same line) first writes the line back, as x86
 	// implementations do, so no earlier cached store is lost.
 	var flushCost sim.Duration
-	err := forEachLine(a, len(buf), func(la mem.Address, _, _ int) error {
-		d, err := c.FlushLine(now+flushCost, la)
+	err := c.eachResident(a, len(buf), func(l *line) error {
+		d, err := c.flush(now+flushCost, l)
 		if err != nil {
 			return err
 		}
@@ -322,14 +420,18 @@ func (c *Cache) NTStore(now sim.Time, a mem.Address, buf []byte) (sim.Duration, 
 // FlushLine writes back (if dirty) and invalidates the line containing a
 // (CLFLUSH).
 func (c *Cache) FlushLine(now sim.Time, a mem.Address) (sim.Duration, error) {
-	la := mem.AlignDown(a)
-	l, ok := c.lines[la]
-	if !ok {
+	l := c.lookup(mem.AlignDown(a))
+	if l == nil {
 		return 0, nil
 	}
+	return c.flush(now, l)
+}
+
+// flush writes back (if dirty) and invalidates resident line l.
+func (c *Cache) flush(now sim.Time, l *line) (sim.Duration, error) {
 	var d sim.Duration
 	if l.dirty {
-		wd, err := c.backing.WriteAt(now, la, l.data[:])
+		wd, err := c.backing.WriteAt(now, l.addr, l.data[:])
 		if err != nil {
 			return 0, err
 		}
@@ -345,8 +447,8 @@ func (c *Cache) FlushLine(now sim.Time, a mem.Address) (sim.Duration, error) {
 // written back serially, which is what a CLFLUSH loop costs.
 func (c *Cache) FlushRange(now sim.Time, a mem.Address, size int) (sim.Duration, error) {
 	var total sim.Duration
-	err := forEachLine(a, size, func(la mem.Address, _, _ int) error {
-		d, err := c.FlushLine(now+total, la)
+	err := c.eachResident(a, size, func(l *line) error {
+		d, err := c.flush(now+total, l)
 		if err != nil {
 			return err
 		}
@@ -364,11 +466,9 @@ func (c *Cache) FlushRange(now sim.Time, a mem.Address, size int) (sim.Duration,
 // invalidation; the receiver side of a channel uses it on memory it only
 // reads.
 func (c *Cache) InvalidateRange(a mem.Address, size int) {
-	_ = forEachLine(a, size, func(la mem.Address, _, _ int) error {
-		if l, ok := c.lines[la]; ok {
-			c.release(l)
-			c.invalidations++
-		}
+	_ = c.eachResident(a, size, func(l *line) error {
+		c.release(l)
+		c.invalidations++
 		return nil
 	})
 }
@@ -400,26 +500,27 @@ func (c *Cache) Fence() sim.Duration { return FenceLatency }
 // hot-remove so no dirty pool data is stranded in a dead host's cache).
 func (c *Cache) FlushAll(now sim.Time) (sim.Duration, error) {
 	var total sim.Duration
-	// Collect addresses first: FlushLine mutates the map.
-	addrs := make([]mem.Address, 0, len(c.lines))
-	for a := range c.lines {
-		addrs = append(addrs, a)
+	// Collect page keys first (flushing mutates the index), then walk
+	// them in ascending order: lines flush in address order.
+	keys := make([]mem.Address, 0, len(c.pages))
+	for k := range c.pages {
+		keys = append(keys, k)
 	}
-	// Deterministic order.
-	for i := 1; i < len(addrs); i++ {
-		for j := i; j > 0 && addrs[j] < addrs[j-1]; j-- {
-			addrs[j], addrs[j-1] = addrs[j-1], addrs[j]
+	slices.Sort(keys)
+	for _, k := range keys {
+		for _, l := range c.pages[k].lines {
+			if l == nil {
+				continue
+			}
+			d, err := c.flush(now+total, l)
+			if err != nil {
+				return 0, err
+			}
+			total += d
 		}
-	}
-	for _, a := range addrs {
-		d, err := c.FlushLine(now+total, a)
-		if err != nil {
-			return 0, err
-		}
-		total += d
 	}
 	return total, nil
 }
 
 // Len returns the number of resident lines.
-func (c *Cache) Len() int { return len(c.lines) }
+func (c *Cache) Len() int { return c.n }

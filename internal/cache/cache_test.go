@@ -433,6 +433,44 @@ func BenchmarkNTStore64(b *testing.B) {
 	}
 }
 
+// frameCache returns a cache holding a few resident control-word lines
+// away from [0, 8 KiB), the frame the 8K benches move: the datapath's
+// usual state, where payload lines are almost never resident.
+func frameCache(b *testing.B) *Cache {
+	c := New("A", pool(), 0)
+	buf := make([]byte, 64)
+	for a := mem.Address(64 << 10); a < 66<<10; a += 256 {
+		if _, err := c.Read(0, a, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return c
+}
+
+func BenchmarkNTStore8K(b *testing.B) {
+	c := frameCache(b)
+	buf := make([]byte, 8<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.NTStore(sim.Time(i)*sim.Microsecond, 0, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadStream8K(b *testing.B) {
+	c := frameCache(b)
+	buf := make([]byte, 8<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ReadStream(sim.Time(i)*sim.Microsecond, 0, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestReadStreamBypassesCacheButSeesFreshData(t *testing.T) {
 	p := pool()
 	a := New("A", p, 0)

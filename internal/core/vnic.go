@@ -113,8 +113,8 @@ func NewVirtualNIC(user *Host, name string, cfg VNICConfig) *VirtualNIC {
 		name:        name,
 		user:        user,
 		cfg:         cfg,
-		SendLatency: metrics.NewRecorder(4096),
-		E2ELatency:  metrics.NewRecorder(4096),
+		SendLatency: metrics.NewRecorder(0),
+		E2ELatency:  metrics.NewRecorder(0),
 	}
 	user.pod.vnics[name] = v
 	return v

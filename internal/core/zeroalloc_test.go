@@ -68,3 +68,50 @@ func TestVNICDatapathAllocs(t *testing.T) {
 		t.Fatalf("vNIC TX/RX round trip allocates %.1f/op, want <= 2", allocs)
 	}
 }
+
+// idleLifecycleBaselineBytes is the heap bytes one idle-vNIC lifecycle
+// allocated when every vNIC pre-sized two 4096-sample latency recorders
+// and every sanitize materialized the pool chunks it zeroed (measured
+// with go1.24; it now takes about 5.4 KB).
+const idleLifecycleBaselineBytes = 70929
+
+// TestIdleVNICLifecycleBytes guards the control-plane cost of a tenant
+// that binds and leaves without sending: NewVirtualNIC + Bind + Unbind
+// + Release on the pooled path. Churn runs create thousands of these;
+// a vNIC that records nothing must not pay for recorder capacity.
+func TestIdleVNICLifecycleBytes(t *testing.T) {
+	pod, err := NewPod(Config{Hosts: 2, NICsPerHost: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, err := pod.Host("host0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, err := pod.Host("host1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v := NewVirtualNIC(h0, "idle", VNICConfig{})
+			if _, err := v.Bind(h1, "host1-nic0"); err != nil {
+				failed = err
+				b.FailNow()
+			}
+			v.Unbind()
+			v.Release()
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	got := res.AllocedBytesPerOp()
+	t.Logf("idle vNIC lifecycle: %d B/op, %d allocs/op", got, res.AllocsPerOp())
+	if limit := int64(idleLifecycleBaselineBytes / 2); got >= limit {
+		t.Fatalf("idle vNIC lifecycle allocates %d B/op, want < %d (half of %d)",
+			got, limit, idleLifecycleBaselineBytes)
+	}
+}

@@ -162,9 +162,7 @@ func (r *Region) copyOut(off int, buf []byte) {
 		if c := r.chunks[ci]; c != nil {
 			copy(buf[:n], c[co:])
 		} else {
-			for i := range buf[:n] {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		off += n
@@ -296,6 +294,29 @@ func (r *Region) Poke(a Address, buf []byte) error {
 		return ErrOutOfRange
 	}
 	r.copyIn(int(a-r.base), buf)
+	return nil
+}
+
+// Zero clears [a, a+n) without advancing timing, like Poke with a zero
+// buffer. Only chunks that have already been written are touched: an
+// unallocated chunk already reads as zero, so zeroing never
+// materializes backing memory.
+func (r *Region) Zero(a Address, n int) error {
+	if !r.Contains(a, n) {
+		return ErrOutOfRange
+	}
+	for off := int(a - r.base); n > 0; {
+		ci, co := off>>chunkShift, off&(chunkBytes-1)
+		k := chunkBytes - co
+		if k > n {
+			k = n
+		}
+		if c := r.chunks[ci]; c != nil {
+			clear(c[co : co+k])
+		}
+		n -= k
+		off += k
+	}
 	return nil
 }
 

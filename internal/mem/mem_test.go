@@ -414,3 +414,107 @@ func BenchmarkAllocatorAllocFree(b *testing.B) {
 		}
 	}
 }
+
+// fill returns n bytes of value v.
+func fill(n int, v byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = v
+	}
+	return b
+}
+
+func TestZeroStraddlesChunkBoundary(t *testing.T) {
+	r := NewRegion("pool", 0, 3*chunkBytes, Timing{}, nil)
+	// Dirty the last 1 KiB of chunk 0 and the first 1 KiB of chunk 1.
+	edge := Address(chunkBytes)
+	if err := r.Poke(edge-1024, fill(2048, 0xAB)); err != nil {
+		t.Fatal(err)
+	}
+	// Zero the middle 1 KiB, straddling the boundary.
+	if err := r.Zero(edge-512, 1024); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 2048)
+	if err := r.Peek(edge-1024, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		want := byte(0xAB)
+		if i >= 512 && i < 1536 {
+			want = 0
+		}
+		if b != want {
+			t.Fatalf("byte %d = %#x, want %#x", i, b, want)
+		}
+	}
+	if r.chunks[2] != nil {
+		t.Fatal("zeroing materialized an untouched chunk")
+	}
+}
+
+func TestZeroPartlyDirtyChunk(t *testing.T) {
+	r := NewRegion("pool", 0x1000, 2*chunkBytes, Timing{}, nil)
+	if err := r.Poke(0x1000+100, fill(200, 0x5A)); err != nil {
+		t.Fatal(err)
+	}
+	// The range covers the dirty bytes, part of the clean remainder of
+	// chunk 0, and all of the never-written chunk 1.
+	if err := r.Zero(0x1000+150, 2*chunkBytes-150); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 300)
+	if err := r.Peek(0x1000, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		var want byte
+		if i >= 100 && i < 150 {
+			want = 0x5A
+		}
+		if b != want {
+			t.Fatalf("byte %d = %#x, want %#x", i, b, want)
+		}
+	}
+	if r.chunks[1] != nil {
+		t.Fatal("zeroing materialized the never-written chunk")
+	}
+	// Zero moves no simulated bytes and takes no time.
+	if reads, writes, _, _ := r.Stats(); reads != 0 || writes != 0 {
+		t.Fatalf("Zero counted as an access: reads=%d writes=%d", reads, writes)
+	}
+}
+
+func TestZeroOutOfRange(t *testing.T) {
+	r := NewRegion("pool", 0x1000, chunkBytes, Timing{}, nil)
+	if err := r.Poke(r.End()-8, fill(8, 0xFF)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		a Address
+		n int
+	}{
+		{0x0fff, 8},         // starts before the base
+		{r.End() - 4, 8},    // runs past the end
+		{r.End(), 1},        // starts at the end
+		{0x1000, -1},        // negative length
+		{0, chunkBytes + 1}, // wholly outside
+	} {
+		if err := r.Zero(c.a, c.n); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("Zero(%#x, %d) = %v, want ErrOutOfRange", uint64(c.a), c.n, err)
+		}
+	}
+	// A rejected Zero changes nothing.
+	got := make([]byte, 8)
+	if err := r.Peek(r.End()-8, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		if b != 0xFF {
+			t.Fatalf("byte %d cleared by a rejected Zero", i)
+		}
+	}
+	if err := r.Zero(r.End(), 0); err != nil {
+		t.Fatalf("empty Zero at the end: %v", err)
+	}
+}
