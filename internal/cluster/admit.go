@@ -376,6 +376,7 @@ func (c *Cluster) depart(name string, st *EpochStats) error {
 	}
 	t.vnic, t.user, t.rack = nil, nil, -1
 	t.gbps = 0
+	c.invalidateDemand()
 	return nil
 }
 

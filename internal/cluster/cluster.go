@@ -312,6 +312,9 @@ type Rack struct {
 	// poolNICs are the pooled NIC handles in registration order, so
 	// fault injection can flap a device without a pod lookup.
 	poolNICs []*nicsim.NIC
+	// devHosts are the device hosts (hosts[1:]) in attachment order,
+	// resolved once: a rack's hosts are fixed after buildRack.
+	devHosts []*core.Host
 	// nicsPerHost slices poolNICs by device host: host h (hosts[1:]
 	// ordinal h-1) owns poolNICs[(h-1)*nicsPerHost : h*nicsPerHost],
 	// the blast radius of a HostKill.
@@ -373,6 +376,10 @@ type Cluster struct {
 	cfg     Config
 	racks   []*Rack
 	tenants []*Tenant // stable placement/iteration order
+	// demand caches every rack's offered demand (rackDemand) until a
+	// tenant's placement or demand changes.
+	demand      []float64
+	demandValid bool
 
 	// spine is the simulated cross-rack datapath: every inter-rack
 	// cost (spill penalty, migration, drain stream) and every active
@@ -542,6 +549,7 @@ func New(cfg Config) (*Cluster, error) {
 		r.deliveredBy = make([]uint64, len(c.tenants))
 	}
 	c.admitsInto = make([]int, len(c.racks))
+	c.demand = make([]float64, len(c.racks))
 	c.refreshSummaries()
 	if tr, ok := cfg.Churn.(*churn.Trace); ok && tr != nil {
 		// Fail fast on a schedule that names racks outside the fleet,
@@ -629,6 +637,7 @@ func (c *Cluster) buildRack(idx int) (*Rack, error) {
 			rack.poolNICs = append(rack.poolNICs, nic)
 			devices++
 		}
+		rack.devHosts = append(rack.devHosts, h)
 	}
 	if len(rack.poolNICs) > 0 {
 		rack.perNICGbps = rack.capacityGbps / float64(len(rack.poolNICs))
@@ -681,16 +690,30 @@ func (c *Cluster) Counters() (local, spill, migrated, drained *metrics.CounterSe
 	return c.placedLocal, c.placedSpill, c.migratedOut, c.drained
 }
 
-// offeredGbps sums current demand placed on a rack.
-func (c *Cluster) offeredGbps(rackIdx int) float64 {
-	var sum float64
-	for _, t := range c.tenants {
-		if t.rack == rackIdx {
-			sum += t.gbps
+// offeredGbps is the current demand placed on a rack.
+func (c *Cluster) offeredGbps(rackIdx int) float64 { return c.rackDemand()[rackIdx] }
+
+// rackDemand returns every rack's offered demand, the summed demand of
+// the tenants placed there. One pass over the population fills all
+// racks, adding in population order, so each sum is bit-identical to a
+// scan of that rack alone. The result is reused until a placement or a
+// demand changes (invalidateDemand).
+func (c *Cluster) rackDemand() []float64 {
+	if !c.demandValid {
+		clear(c.demand)
+		for _, t := range c.tenants {
+			if t.rack >= 0 {
+				c.demand[t.rack] += t.gbps
+			}
 		}
+		c.demandValid = true
 	}
-	return sum
+	return c.demand
 }
+
+// invalidateDemand drops the cached rack demand. Every write to a
+// tenant's rack or gbps must be followed by it.
+func (c *Cluster) invalidateDemand() { c.demandValid = false }
 
 // pressure is offered demand over capacity, the global placement
 // signal. Demand is known exactly at this layer (the cluster admits
@@ -706,10 +729,10 @@ func (c *Cluster) pressure(rackIdx int) float64 {
 }
 
 // userFor returns the deterministic user host a tenant gets in a rack:
-// device hosts are hosts[1:], spread by the tenant's cluster ordinal.
-func (c *Cluster) userFor(t *Tenant, rack *Rack) (*core.Host, error) {
-	hosts := rack.Pod.Hosts()
-	return rack.Pod.Host(hosts[1+t.idx%(len(hosts)-1)])
+// device hosts are hosts[1:] (topo guarantees at least one), spread by
+// the tenant's cluster ordinal.
+func (c *Cluster) userFor(t *Tenant, rack *Rack) *core.Host {
+	return rack.devHosts[t.idx%len(rack.devHosts)]
 }
 
 // canServe reports whether a rack could bind the tenant right now: not
@@ -720,11 +743,7 @@ func (c *Cluster) canServe(t *Tenant, rackIdx int) bool {
 	if r.draining || r.dead {
 		return false
 	}
-	user, err := c.userFor(t, r)
-	if err != nil {
-		return false
-	}
-	_, err = r.Orch.PickDevice(user, "")
+	_, err := r.Orch.PickDevice(c.userFor(t, r), "")
 	return err == nil
 }
 
@@ -857,15 +876,13 @@ func (c *Cluster) place(t *Tenant) error {
 // orchestrator.
 func (c *Cluster) bind(t *Tenant, rackIdx int) error {
 	rack := c.racks[rackIdx]
-	user, err := c.userFor(t, rack)
-	if err != nil {
-		return err
-	}
+	user := c.userFor(t, rack)
 	v, err := rack.Orch.Allocate(user, t.Name, vnicConfig())
 	if err != nil {
 		return fmt.Errorf("cluster: placing %s in %s: %w", t.Name, rack.Name, err)
 	}
 	t.vnic, t.user, t.rack = v, user, rackIdx
+	c.invalidateDemand()
 	return nil
 }
 
@@ -885,6 +902,7 @@ func (c *Cluster) migrate(t *Tenant, dst int) (sim.Duration, error) {
 			return 0, err
 		}
 		t.vnic, t.user, t.rack = nil, nil, -1
+		c.invalidateDemand()
 	}
 	if err := c.bind(t, dst); err != nil {
 		return 0, err
@@ -1110,6 +1128,18 @@ func (c *Cluster) RepairRack(idx int) error {
 	return nil
 }
 
+// offeredBytes returns each rack's residents' cumulative offered
+// bytes, rack order.
+func (c *Cluster) offeredBytes() []uint64 {
+	out := make([]uint64, len(c.racks))
+	for _, t := range c.tenants {
+		if t.rack >= 0 {
+			out[t.rack] += t.offeredBytes
+		}
+	}
+	return out
+}
+
 // RunEpoch advances the whole cluster one epoch: update demand from
 // the skew schedule, run the global sweep, then simulate every rack's
 // traffic in parallel. Returns the epoch's stats.
@@ -1136,6 +1166,7 @@ func (c *Cluster) RunEpoch() (EpochStats, error) {
 		}
 		t.grantGbps = t.gbps
 	}
+	c.invalidateDemand()
 	// Scheduled physical repairs land first, so the policy heartbeat
 	// below sees post-repair state (reopen/repatriate rules trigger the
 	// same epoch a fault clears); freed crews immediately pick up
@@ -1228,29 +1259,19 @@ func (c *Cluster) RunEpoch() (EpochStats, error) {
 	// Simulate every rack's epoch in parallel; racks share nothing, so
 	// the fan-out is free determinism-wise (golden-tested).
 	delivered0 := make([]uint64, len(c.racks))
-	offered0 := make([]uint64, len(c.racks))
 	for i, r := range c.racks {
 		delivered0[i] = r.deliveredBytes
-		for _, t := range c.tenants {
-			if t.rack == i {
-				offered0[i] += t.offeredBytes
-			}
-		}
 	}
+	offered0 := c.offeredBytes()
 	if err := (runner.Pool{Workers: c.cfg.Workers}).ForEach(len(c.racks), func(i int) error {
 		return c.runRackEpoch(c.racks[i])
 	}); err != nil {
 		return st, err
 	}
 	secs := c.cfg.Epoch.Seconds()
+	offered := c.offeredBytes()
 	for i, r := range c.racks {
-		var offered uint64
-		for _, t := range c.tenants {
-			if t.rack == i {
-				offered += t.offeredBytes
-			}
-		}
-		st.OfferedGbps[i] = float64(offered-offered0[i]) * 8 / secs / 1e9
+		st.OfferedGbps[i] = float64(offered[i]-offered0[i]) * 8 / secs / 1e9
 		st.DeliveredGbps[i] = float64(r.deliveredBytes-delivered0[i]) * 8 / secs / 1e9
 		st.MeasuredLoad[i], _ = r.Orch.MeanLoad()
 	}

@@ -114,6 +114,7 @@ func TestPlacementAvoidsOversubscribedUplink(t *testing.T) {
 		ts[4].rack, ts[4].gbps = 2, 30 // r2t0 at home
 		ts[6].rack, ts[6].gbps = 3, 35 // r3t0 at home
 		ts[1].gbps = 80                // r0t1: the probe, unplaced
+		c.invalidateDemand()           // the writes bypassed bind
 		return c
 	}
 
@@ -145,6 +146,7 @@ func TestAdmitProbeAvoidsOversubscribedUplink(t *testing.T) {
 	ts[4].rack, ts[4].gbps = 2, 30
 	ts[6].rack, ts[6].gbps = 3, 35
 	ts[1].gbps = 80
+	c.invalidateDemand()
 	c.refreshSummaries()
 	// Summaries see the hand-laid demand; rack1 is the pressure winner
 	// but its uplink cannot carry another 80 Gbps.

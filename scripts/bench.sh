@@ -74,13 +74,16 @@ trap 'rm -f "$RAW"' EXIT
 # stress in internal/sim, packer scaling in internal/stranding, the
 # rack-scale federation and multi-row fleet cycles, and the data-plane
 # layer microbenches (8 KiB frame publish/stream in internal/cache,
-# sanitize of a never-written carve in internal/cxl).
+# sanitize of a never-written carve in internal/cxl, and the shared
+# segment allocator's single alloc/free and vNIC bind/unbind churn in
+# internal/mem).
 go test -run='^$' -bench='Figure2Stranding|Figure2XL|SqrtNPooling|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention' \
     -benchmem -benchtime="$BENCHTIME" . | tee -a "$RAW"
 go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/sim/ | tee -a "$RAW"
 go test -run='^$' -bench='PackCluster2000|PackCluster20k' -benchmem -benchtime="$BENCHTIME" ./internal/stranding/ | tee -a "$RAW"
 go test -run='^$' -bench='NTStore8K|ReadStream8K' -benchmem -benchtime="$BENCHTIME" ./internal/cache/ | tee -a "$RAW"
 go test -run='^$' -bench='PodSanitizeFresh' -benchmem -benchtime="$BENCHTIME" ./internal/cxl/ | tee -a "$RAW"
+go test -run='^$' -bench='AllocatorAllocFree|AllocatorBindChurn' -benchmem -benchtime="$BENCHTIME" ./internal/mem/ | tee -a "$RAW"
 
 awk -v date="$DATE" -v benchtime="$BENCHTIME" '
 BEGIN { n = 0 }
