@@ -27,26 +27,6 @@ import (
 	"cxlpool/internal/workload"
 )
 
-// BenchmarkFigure2Stranding regenerates Figure 2 (stranded CPU, memory,
-// SSD, and NIC capacity in a saturated cluster).
-func BenchmarkFigure2Stranding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := stranding.PackCluster(stranding.Config{Hosts: 2000, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure2XL is the 20k-host scale-up the bucketed packer index
-// enables (E13): ten Figure 2 clusters' worth of hosts per iteration.
-func BenchmarkFigure2XL(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := stranding.PackCluster(stranding.Config{Hosts: 20000, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAllExperiments regenerates every artifact through the
 // parallel runner — the end-to-end `cxlpool all` cost.
 func BenchmarkAllExperiments(b *testing.B) {

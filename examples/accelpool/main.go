@@ -1,8 +1,10 @@
 // accelpool demonstrates the §5 "soft accelerator disaggregation"
-// story: a specialized accelerator (here a computational-storage-style
-// device modeled on the SSD substrate) deployed at a 1:16 ratio —
-// sixteen hosts share one device through the CXL pool instead of each
-// rack slot carrying an idle accelerator.
+// story: a specialized accelerator deployed at a 1:16 ratio — sixteen
+// hosts share one device through the CXL pool instead of each rack slot
+// carrying an idle accelerator. The pooled device is a VirtualSSD
+// standing in for the accelerator (a computational-storage-style card):
+// the pooling mechanism, device I/O buffers in CXL pool memory, is the
+// same for any PCIe device class.
 //
 // The example measures per-host latency as the device is shared more
 // widely, showing the utilization-vs-queueing tradeoff the pooling

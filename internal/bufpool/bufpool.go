@@ -21,7 +21,7 @@
 package bufpool
 
 // Size classes are powers of two from one cacheline (64 B, the shm slot
-// granularity) to 64 KiB (the largest vSSD/vAccel I/O buffer). Requests
+// granularity) to 64 KiB (the largest vSSD I/O buffer). Requests
 // beyond the largest class fall back to plain allocation.
 const (
 	minShift = 6  // 64 B

@@ -12,7 +12,6 @@ import (
 var (
 	ErrNoPorts      = errors.New("cxl: device has no free ports")
 	ErrBadPort      = errors.New("cxl: invalid port")
-	ErrPortTaken    = errors.New("cxl: port already connected")
 	ErrNotAttached  = errors.New("cxl: host not attached to pool")
 	ErrPoolExceeded = errors.New("cxl: allocation exceeds pool capacity")
 )

@@ -64,7 +64,6 @@ type Receiver interface {
 // Errors.
 var (
 	ErrUnknownPort = errors.New("netsim: unknown port")
-	ErrFabricDown  = errors.New("netsim: fabric down")
 )
 
 type port struct {

@@ -32,9 +32,8 @@ const (
 
 // Errors.
 var (
-	ErrNoRxBuffer = errors.New("nicsim: RX ring empty (packet dropped)")
-	ErrTooLong    = errors.New("nicsim: payload exceeds MTU")
-	ErrNotWired   = errors.New("nicsim: NIC not attached to a fabric")
+	ErrTooLong  = errors.New("nicsim: payload exceeds MTU")
+	ErrNotWired = errors.New("nicsim: NIC not attached to a fabric")
 )
 
 // MTU is the jumbo-frame MTU, admitting the paper's 9000 B payloads.

@@ -1,6 +1,6 @@
 // Package pcie models generic PCIe endpoint devices — MMIO register
-// files, doorbells, and DMA engines — plus the hardware PCIe switch that
-// is the paper's baseline for device pooling.
+// files, doorbells, and DMA engines — plus the reassignment cost of the
+// hardware PCIe switch that is the paper's baseline for device pooling.
 //
 // Devices in this repository (nicsim, ssdsim) embed an Endpoint. The
 // Endpoint's DMA engine targets a mem.Memory, which is how the paper's
@@ -29,11 +29,12 @@ const (
 	// DMASetupLatency is the per-transfer TLP processing overhead of a
 	// device-initiated DMA.
 	DMASetupLatency sim.Duration = 90
-	// SwitchHopLatency is the extra latency a hardware PCIe switch adds
-	// per crossing (measured ~105-150 ns per hop on Switchtec-class
-	// parts; cross-host routed paths pay it both ways).
-	SwitchHopLatency sim.Duration = 130
 )
+
+// ReassignLatency is the control-plane cost of moving a device between
+// hosts on a hardware PCIe switch, the paper's baseline (§1): a
+// hot-unplug + hot-plug flow, milliseconds.
+const ReassignLatency sim.Duration = 50 * sim.Millisecond
 
 // LaneBandwidthGen5 is effective per-lane PCIe 5.0 bandwidth.
 const LaneBandwidthGen5 mem.GBps = 3.75
@@ -62,7 +63,6 @@ func (c LinkConfig) Bandwidth() mem.GBps {
 var (
 	ErrDeviceFailed = errors.New("pcie: device failed")
 	ErrNoDMATarget  = errors.New("pcie: DMA engine not attached to host memory")
-	ErrBadRegister  = errors.New("pcie: unknown MMIO register")
 )
 
 // Registers is a sparse MMIO register file (BAR0-style).

@@ -160,113 +160,6 @@ func TestDMALinkSerialization(t *testing.T) {
 	}
 }
 
-func TestSwitchAssignAndView(t *testing.T) {
-	sw := NewSwitch("psw0")
-	if err := sw.AttachHost("h0", x16()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AttachHost("h1", x16()); err != nil {
-		t.Fatal(err)
-	}
-	dev := NewEndpoint("nic0", x16())
-	dev.AttachHostMemory(hostRAM())
-	if err := sw.AttachDevice(dev); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.Assign("nic0", "h0"); err != nil {
-		t.Fatal(err)
-	}
-	v0, err := sw.View("h0", "nic0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// h1 does not own it.
-	if _, err := sw.View("h1", "nic0"); !errors.Is(err, ErrNotOwner) {
-		t.Fatalf("err = %v", err)
-	}
-	// Switched MMIO is slower than direct.
-	sd, err := v0.MMIOWrite(0, 0x10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sd != MMIOWriteLatency+2*SwitchHopLatency {
-		t.Fatalf("switched MMIO write = %v", sd)
-	}
-	// Reassign to h1: old view stops working.
-	if _, err := sw.Assign("nic0", "h1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v0.MMIOWrite(0, 0x10, 2); !errors.Is(err, ErrNotOwner) {
-		t.Fatalf("stale view err = %v", err)
-	}
-	v1, err := sw.View("h1", "nic0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := v1.MMIORead(0, 0x10); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Reassignments() != 2 {
-		t.Fatalf("reassignments = %d", sw.Reassignments())
-	}
-}
-
-func TestSwitchLaneBudget(t *testing.T) {
-	sw := NewSwitch("psw0")
-	// 100 lanes: 4 x16 hosts = 64 lanes, 2 x16 devices = 96, 3rd device
-	// must fail.
-	for i := 0; i < 4; i++ {
-		if err := sw.AttachHost(string(rune('a'+i)), x16()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.AttachDevice(NewEndpoint("d0", x16())); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AttachDevice(NewEndpoint("d1", x16())); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AttachDevice(NewEndpoint("d2", x16())); !errors.Is(err, ErrSwitchLanes) {
-		t.Fatalf("err = %v", err)
-	}
-	if sw.FreeLanes() != 4 {
-		t.Fatalf("free lanes = %d", sw.FreeLanes())
-	}
-}
-
-func TestSwitchUnknownEntities(t *testing.T) {
-	sw := NewSwitch("psw0")
-	if _, err := sw.Assign("ghost", "h0"); !errors.Is(err, ErrUnknownDev) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := sw.AttachDevice(NewEndpoint("d0", x16())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.Assign("d0", "ghost"); !errors.Is(err, ErrUnknownHost) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := sw.View("h", "ghost"); !errors.Is(err, ErrUnknownDev) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestSwitchDuplicateAttach(t *testing.T) {
-	sw := NewSwitch("psw0")
-	if err := sw.AttachHost("h0", x16()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AttachHost("h0", x16()); err == nil {
-		t.Fatal("duplicate host accepted")
-	}
-	d := NewEndpoint("d0", x16())
-	if err := sw.AttachDevice(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.AttachDevice(d); err == nil {
-		t.Fatal("duplicate device accepted")
-	}
-}
-
 func BenchmarkDMAWrite1500(b *testing.B) {
 	ram := hostRAM()
 	e := NewEndpoint("nic0", x16())

@@ -129,7 +129,8 @@ func StrCol(name string) Column { return Column{Name: name} }
 func NumCol(name string) Column { return Column{Name: name, Kind: CellNumber} }
 
 // Table is a typed table block. Its text rendering is the repository's
-// standard fixed-width layout (identical to the old metrics.Table).
+// standard fixed-width layout: a header, a dash rule, and left-aligned
+// columns two spaces apart.
 type Table struct {
 	// Name is the machine-facing identifier (never rendered as text).
 	Name string

@@ -1,5 +1,5 @@
 // Package shm builds software-coherent shared-memory primitives on top
-// of non-coherent CXL pool memory: message channels, spin locks, and
+// of non-coherent CXL pool memory: message channels and
 // seqlock-published records.
 //
 // This is the §4.1 substrate of the paper: "We prototype a

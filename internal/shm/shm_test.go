@@ -262,48 +262,6 @@ func TestChannelDeliveryProperty(t *testing.T) {
 	}
 }
 
-func TestSpinLockMutualExclusion(t *testing.T) {
-	a, b := twoHosts(t)
-	l, err := NewSpinLock(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	okA, d, err := l.TryLock(0, a, 1)
-	if err != nil || !okA {
-		t.Fatalf("A lock: ok=%v err=%v", okA, err)
-	}
-	okB, _, err := l.TryLock(d, b, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if okB {
-		t.Fatal("B acquired a held lock")
-	}
-	holder, _, err := l.Holder(d+1000, b)
-	if err != nil || holder != 1 {
-		t.Fatalf("holder = %d err=%v", holder, err)
-	}
-	ud, err := l.Unlock(d+2000, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	okB, _, err = l.TryLock(d+2000+ud, b, 2)
-	if err != nil || !okB {
-		t.Fatalf("B lock after unlock: ok=%v err=%v", okB, err)
-	}
-}
-
-func TestSpinLockValidation(t *testing.T) {
-	if _, err := NewSpinLock(7); err == nil {
-		t.Fatal("unaligned lock accepted")
-	}
-	a, _ := twoHosts(t)
-	l, _ := NewSpinLock(64)
-	if _, _, err := l.TryLock(0, a, 0); err == nil {
-		t.Fatal("zero owner tag accepted")
-	}
-}
-
 func TestSeqRecordPublishRead(t *testing.T) {
 	a, b := twoHosts(t)
 	rec, err := NewSeqRecord(0)

@@ -281,76 +281,6 @@ func TestRandExpMean(t *testing.T) {
 	}
 }
 
-func TestRandNormalMoments(t *testing.T) {
-	r := NewRand(9)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.Normal(50, 10)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if mean < 49 || mean > 51 {
-		t.Fatalf("mean = %f, want ~50", mean)
-	}
-	if variance < 90 || variance > 110 {
-		t.Fatalf("variance = %f, want ~100", variance)
-	}
-}
-
-func TestRandPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed int64) bool {
-		r := NewRand(seed)
-		p := r.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := NewRand(3)
-	z := NewZipf(r, 100, 1.2)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
-	}
-	// Item 0 must dominate item 50 heavily under s=1.2.
-	if counts[0] < 5*counts[50] {
-		t.Fatalf("zipf not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 100000 {
-		t.Fatalf("samples out of range: total %d", total)
-	}
-}
-
-func TestZipfNearUniform(t *testing.T) {
-	r := NewRand(3)
-	z := NewZipf(r, 10, 0.01)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
-	}
-	for i, c := range counts {
-		if c < 8000 || c > 12000 {
-			t.Fatalf("near-uniform zipf bucket %d has %d samples", i, c)
-		}
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	r := NewRand(11)
 	f := r.Fork()

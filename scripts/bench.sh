@@ -77,7 +77,7 @@ trap 'rm -f "$RAW"' EXIT
 # sanitize of a never-written carve in internal/cxl, and the shared
 # segment allocator's single alloc/free and vNIC bind/unbind churn in
 # internal/mem).
-go test -run='^$' -bench='Figure2Stranding|Figure2XL|SqrtNPooling|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention' \
+go test -run='^$' -bench='SqrtNPooling|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention' \
     -benchmem -benchtime="$BENCHTIME" . | tee -a "$RAW"
 go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/sim/ | tee -a "$RAW"
 go test -run='^$' -bench='PackCluster2000|PackCluster20k' -benchmem -benchtime="$BENCHTIME" ./internal/stranding/ | tee -a "$RAW"
